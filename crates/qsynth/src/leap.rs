@@ -3,6 +3,7 @@
 
 use crate::cost::HsCost;
 use crate::optimize::{minimize_batched, OptimizerConfig};
+use crate::permits::{resolve_width, PermitPool};
 use crate::template::Template;
 use qcircuit::Circuit;
 use qmath::Matrix;
@@ -33,11 +34,14 @@ pub struct SynthesisConfig {
     /// qubit pairs, so synthesized circuits need no routing (LEAP is
     /// topology-aware). `None` means all-to-all.
     pub coupling: Option<qcircuit::topology::CouplingMap>,
-    /// Total worker-thread budget for this synthesis run. The frontier's
-    /// candidate placements expand concurrently up to this width, one
-    /// thread per job; within each job the optimizer packs its restarts
-    /// into the SIMD lanes of one batched evaluator
+    /// Cap on the threads that expand one frontier layer, the calling
+    /// thread included. Each layer's candidate placements expand
+    /// concurrently, one thread per job; within each job the optimizer
+    /// packs its restarts into the SIMD lanes of one batched evaluator
     /// ([`OptimizerConfig::batch_width`]) instead of spawning threads.
+    /// [`synthesize`] gives the run a private pool of this many permits;
+    /// [`synthesize_with`] instead draws the extra threads from a pool
+    /// shared with other work, so a layer may run narrower than the cap.
     /// `None` uses [`std::thread::available_parallelism`]; `Some(1)` is
     /// fully serial. The result is **bit-identical** for every width (each
     /// candidate's RNG seed depends only on its tree position, and the
@@ -222,6 +226,27 @@ struct Node {
 ///
 /// Panics if `target` is not square with a power-of-two dimension ≥ 2.
 pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
+    let pool = PermitPool::new(resolve_width(cfg.parallel_width));
+    let _own = pool.take(1);
+    synthesize_with(target, cfg, &pool)
+}
+
+/// [`synthesize`] drawing its frontier threads from a shared `pool`. The
+/// calling thread must hold one of the pool's permits: it runs a share of
+/// every layer itself, and at the start of each layer it takes up to
+/// `min(jobs, cap) − 1` more permits, only those that are free, for helper
+/// threads that return them when the layer ends (`cap` is
+/// [`SynthesisConfig::parallel_width`]). The result does not depend on how
+/// many permits were free.
+///
+/// # Panics
+///
+/// Panics if `target` is not square with a power-of-two dimension ≥ 2.
+pub fn synthesize_with(
+    target: &Matrix,
+    cfg: &SynthesisConfig,
+    pool: &PermitPool,
+) -> SynthesisResult {
     assert!(target.is_square(), "target must be square");
     let dim = target.rows();
     assert!(
@@ -231,22 +256,18 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
     let n = dim.trailing_zeros() as usize;
     let max_cnots = cfg.max_cnots.unwrap_or(n * n + 8);
     let exact_floor = (cfg.epsilon * 1e-2).min(1e-7);
-    // The total worker budget for this run, consumed by concurrent frontier
-    // expansions. Per-candidate optimizer starts are not threaded — they
-    // ride the SIMD lanes of a batched evaluator — so the budget only
-    // trades wall-clock for threads at the frontier level; the result is
-    // bit-identical for every width.
-    let budget = cfg.parallel_width.map_or_else(
-        || std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        |w| w.max(1),
-    );
+    // The most threads one layer's expansion may use. Per-candidate
+    // optimizer starts are not threaded — they ride the SIMD lanes of a
+    // batched evaluator — so threads only pay at the frontier level; the
+    // result is bit-identical for every width.
+    let cap = resolve_width(cfg.parallel_width);
     let _span = qobs::span!(
         "qsynth.synthesize",
         qubits = n,
         max_cnots = max_cnots,
         epsilon = cfg.epsilon,
         collect_all = cfg.collect_all,
-        parallel_width = budget,
+        parallel_width = cap,
     );
 
     let started = Instant::now();
@@ -337,7 +358,6 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
         // RNG seed depends only on its (layer, node, pair) position, so the
         // jobs are order-independent and can run on any number of workers.
         let jobs = frontier.len() * pairs.len();
-        let frontier_width = budget.min(jobs).max(1);
         let expand = |ni: usize, pi: usize| -> Option<(Node, usize, usize)> {
             // A deadline that expires mid-layer skips the remaining jobs:
             // which jobs got skipped is wall-clock dependent, but any
@@ -395,43 +415,40 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
             ))
         };
 
+        // Extra threads for this layer, only those free right now: a block
+        // worker that ran out of blocks has returned its permit, so a
+        // frontier still running picks it up at its next layer.
+        let mut helpers = pool.take(cap.min(jobs).saturating_sub(1));
         type Job = Option<(Node, usize, usize)>;
-        let expanded: Vec<Job> = if frontier_width > 1 {
-            // Deterministic parallel expansion: workers pull job indices
-            // from an atomic queue and publish into per-job cells; the
-            // collection below walks the cells in placement order, so the
-            // recorded candidates, eval counts, and children are identical
-            // to the serial sweep.
+        let expanded: Vec<Job> = if helpers.count() > 0 {
+            // Deterministic parallel expansion: the calling thread and its
+            // helpers pull job indices from an atomic queue and publish into
+            // per-job cells; the collection below walks the cells in
+            // placement order, so the recorded candidates, eval counts, and
+            // children are identical to the serial sweep. A panic in any
+            // worker propagates once all have joined (the pipeline isolates
+            // it per block); helper permits drop on the way out.
             let cells: Vec<OnceLock<Job>> = (0..jobs).map(|_| OnceLock::new()).collect();
             let next = AtomicUsize::new(0);
-            // A worker panic must degrade, not tear down synthesis: the
-            // survivors drain the queue, and any job whose cell was never
-            // set is treated as a skipped expansion (counted as a poisoned
-            // start so the run is reported degraded).
-            let scope_result = crossbeam::thread::scope(|scope| {
-                for _ in 0..frontier_width {
-                    scope.spawn(|_| loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs {
-                            break;
-                        }
-                        let _ = cells[j].set(expand(j / pairs.len(), j % pairs.len()));
+            let drain = || loop {
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                if j >= jobs {
+                    break;
+                }
+                let _ = cells[j].set(expand(j / pairs.len(), j % pairs.len()));
+            };
+            std::thread::scope(|scope| {
+                let drain = &drain;
+                while helpers.count() > 0 {
+                    let permit = helpers.split(1);
+                    scope.spawn(move || {
+                        drain();
+                        drop(permit);
                     });
                 }
+                drain();
             });
-            if scope_result.is_err() {
-                qobs::metrics::counter("qsynth.worker_panics", 1);
-            }
-            cells
-                .into_iter()
-                .map(|cell| {
-                    let slot = cell.into_inner();
-                    if slot.is_none() {
-                        result.poisoned_starts += 1;
-                    }
-                    slot.flatten()
-                })
-                .collect()
+            cells.into_iter().filter_map(OnceLock::into_inner).collect()
         } else {
             (0..jobs)
                 .map(|j| expand(j / pairs.len(), j % pairs.len()))

@@ -33,9 +33,10 @@
 pub mod cost;
 pub mod leap;
 pub mod optimize;
+pub mod permits;
 pub mod template;
 pub mod two_qubit;
 
-pub use leap::{synthesize, Candidate, SynthesisConfig, SynthesisResult};
+pub use leap::{synthesize, synthesize_with, Candidate, SynthesisConfig, SynthesisResult};
 pub use template::Template;
 pub use two_qubit::synthesize_two_qubit;

@@ -103,8 +103,9 @@ impl DiskCacheConfig {
 /// A memoized block menu.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedMenu {
-    /// The approximation list (including the exact original).
-    pub approximations: Vec<BlockApprox>,
+    /// The approximation list (including the exact original), shared with
+    /// every [`crate::SynthesizedBlock`] served from this entry.
+    pub approximations: Arc<[BlockApprox]>,
     /// Gradient evaluations originally spent producing it.
     pub synthesis_evals: usize,
     /// The producing synthesis hit its deadline or eval budget and the menu
@@ -696,7 +697,7 @@ fn decode_entry(text: &str, target: &Matrix, config: &QuestConfig) -> Option<Cac
         return None;
     }
     Some(CachedMenu {
-        approximations,
+        approximations: approximations.into(),
         synthesis_evals,
         // Degraded/poisoned menus are never written (see `disk_store`), so
         // anything loaded from disk is clean by construction.

@@ -55,12 +55,14 @@ pub struct QuestConfig {
     /// Synthesize blocks on parallel threads (the paper runs blocks on up to
     /// ten cluster nodes).
     pub parallel: bool,
-    /// Total worker-thread budget for the synthesis stage. `None` uses
-    /// [`std::thread::available_parallelism`]. The budget is split between
-    /// the block-level pool and the per-block LEAP frontier (block workers ×
-    /// frontier workers ≤ budget, so nested parallelism never oversubscribes)
-    /// and the resolved product is reported as the `quest.parallel_width`
-    /// metric. Results are bit-identical for every budget.
+    /// Thread budget for the synthesis stage: the most synthesis threads
+    /// that can run at once. `None` uses
+    /// [`std::thread::available_parallelism`]. Each compile gets one pool of
+    /// this many permits, shared by the block-level workers and every
+    /// block's LEAP frontier; a block worker that runs out of blocks hands
+    /// its permit to the frontiers still running. The budget is reported as
+    /// the `quest.parallel_width` metric (1 when `parallel` is off). Results
+    /// are bit-identical for every budget.
     pub parallel_width: Option<usize>,
     /// SoA batch width for the per-block optimizer's multi-start hot loop:
     /// how many Adam starts evaluate cost+gradient per template traversal

@@ -9,11 +9,14 @@ use qanneal::minimize_discrete;
 use qcircuit::Circuit;
 use qmath::Matrix;
 use qpartition::{scan_partition_with, PartitionedCircuit};
-use qsynth::synthesize;
+use qsynth::permits::{resolve_width, PermitPool, Permits};
+use qsynth::synthesize_with;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One approximation of one block.
@@ -39,8 +42,9 @@ pub struct SynthesizedBlock {
     /// CNOT count of the original block body.
     pub original_cnots: usize,
     /// Approximations, always including the original block circuit itself
-    /// (distance 0) so the exact circuit stays reachable.
-    pub approximations: Vec<BlockApprox>,
+    /// (distance 0) so the exact circuit stays reachable. Shared with the
+    /// block cache's copy of the menu, so a cache hit does not copy it.
+    pub approximations: Arc<[BlockApprox]>,
     /// Gradient evaluations spent synthesizing this block.
     pub synthesis_evals: usize,
     /// Synthesis hit its deadline/eval budget (or its worker panicked
@@ -169,8 +173,8 @@ pub struct QuestResult {
     pub cache: CacheStats,
     /// Dual-annealing statistics from the selection stage.
     pub selection_stats: SelectionStats,
-    /// Worker threads actually resolved for the synthesis stage: block-pool
-    /// workers × per-block LEAP frontier workers (1 = fully sequential).
+    /// The synthesis stage's thread budget: the most synthesis threads
+    /// that could run at once (1 = fully sequential).
     pub parallel_width: usize,
     /// Graceful-degradation tally: every fault the pipeline absorbed on the
     /// way to this result. All-zero on a clean run.
@@ -436,8 +440,8 @@ impl Quest {
     }
 
     /// Synthesizes every block's approximation menu, fanning out over a
-    /// bounded worker pool, and returns the blocks, the worker count
-    /// actually used, and the synthesis-stage degradation tally
+    /// bounded worker pool, and returns the blocks, the compile's thread
+    /// budget, and the synthesis-stage degradation tally
     /// (`poisoned_starts`/`recovered_panics`; the other counters are filled
     /// by `compile_inner`).
     fn synthesize_blocks(
@@ -447,31 +451,19 @@ impl Quest {
         observer: &dyn CompileObserver,
     ) -> (Vec<SynthesizedBlock>, usize, DegradationStats) {
         let blocks = parts.blocks();
-        // One thread budget governs both parallel layers. The block-level
-        // pool takes as many workers as there are blocks (capped by the
-        // budget); the remainder flows into each block's LEAP frontier
-        // expansion via `SynthesisConfig::parallel_width`, so nested
-        // parallelism never oversubscribes the machine. On our saturating
-        // workloads (2 blocks on an 8-way machine) this is what turns the
-        // idle 6 cores into intra-search speedup.
-        let budget = if self.config.parallel {
-            self.config
-                .parallel_width
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-                })
-                .max(1)
+        // One thread budget governs both parallel layers: every thread that
+        // runs synthesis holds one of this compile's permits. The block pool
+        // claims up to one worker per block; each block's LEAP frontier
+        // takes whatever permits are free at each layer. A block worker
+        // that finds the queue empty returns its permit, so on few-block or
+        // uneven workloads (a 0.1 s block next to a 2.7 s one) the idle
+        // cores flow into the searches still running.
+        let pool = PermitPool::new(if self.config.parallel {
+            resolve_width(self.config.parallel_width)
         } else {
             1
-        };
-        let block_workers = budget.clamp(1, blocks.len().max(1));
-        let frontier_width = (budget / block_workers).max(1);
-        // The width actually resolved at synthesis time — block workers ×
-        // per-block frontier workers — not the block-count-clamped pool size
-        // that used to under-report wide configurations on few-block
-        // circuits.
-        let resolved_width = block_workers * frontier_width;
-        qobs::metrics::gauge("quest.parallel_width", resolved_width as f64);
+        });
+        qobs::metrics::gauge("quest.parallel_width", pool.size() as f64);
         // SoA lanes per optimizer evaluation inside each block's search —
         // an execution knob (bit-identical results at every width), so it
         // shapes throughput but never the cache key.
@@ -489,20 +481,19 @@ impl Quest {
         let poisoned_total = AtomicUsize::new(0);
 
         // The synthesis seed depends only on block *content* (via the cache
-        // key) when caching, and on the block index otherwise; both are
-        // deterministic for a fixed input circuit.
+        // key), so it is deterministic for a fixed input circuit.
         let synthesize_menu = |seed_mix: u64, block: &qpartition::Block| -> CachedMenu {
             let target = block.unitary();
             let original_cnots = block.circuit().cnot_count();
             let mut cfg = self.config.synthesis.clone();
             cfg.epsilon = self.config.epsilon_per_block;
             cfg.max_cnots = Some(original_cnots.min(self.config.max_synthesis_cnots).max(1));
-            cfg.parallel_width = Some(frontier_width);
+            cfg.parallel_width = Some(pool.size());
             cfg.optimizer.batch_width = batch_width;
             cfg.deadline = self.config.block_deadline;
             cfg.max_gradient_evals = self.config.max_gradient_evals;
             cfg = cfg.with_seed(self.config.seed ^ seed_mix.wrapping_mul(0x9E37));
-            let res = synthesize(&target, &cfg);
+            let res = synthesize_with(&target, &cfg, &pool);
             poisoned_total.fetch_add(res.poisoned_starts, Ordering::Relaxed);
             let exact = BlockApprox {
                 circuit: block.circuit().clone(),
@@ -516,8 +507,8 @@ impl Quest {
             // the whole block to its exact entry — worse but valid, and
             // deterministic.
             let cutoff = res.deadline_expired || res.eval_budget_exhausted;
-            let approximations = if cutoff {
-                vec![exact]
+            let approximations: Arc<[BlockApprox]> = if cutoff {
+                Arc::new([exact])
             } else {
                 let mut all: Vec<BlockApprox> = res
                     .candidates
@@ -532,7 +523,7 @@ impl Quest {
                 // The original circuit itself is always available at
                 // distance 0: QUEST never does worse than the Baseline.
                 all.push(exact);
-                cap_candidates(all, self.config.max_candidates_per_block, original_cnots)
+                cap_candidates(all, self.config.max_candidates_per_block, original_cnots).into()
             };
             CachedMenu {
                 approximations,
@@ -541,6 +532,11 @@ impl Quest {
                 poisoned_starts: res.poisoned_starts,
             }
         };
+        // The synthesis seed and the cache key of each block.
+        let keys: Vec<u64> = blocks
+            .iter()
+            .map(|b| block_key(b.circuit(), &self.config))
+            .collect();
         let synth_one = |index: usize, block: &qpartition::Block| -> SynthesizedBlock {
             let _span = qobs::span!(
                 "quest.synthesize_block",
@@ -551,7 +547,7 @@ impl Quest {
             qfault::inject!("quest.block_worker", panic);
             // Seeding by content key (not block index) keeps cached and
             // uncached compilations bit-identical.
-            let key = block_key(block.circuit(), &self.config);
+            let key = keys[index];
             let menu = match cache {
                 Some(cache) => {
                     (*cache.get_or_insert_with(key, &block.unitary(), &self.config, || {
@@ -581,57 +577,71 @@ impl Quest {
             catch_unwind(AssertUnwindSafe(|| synth_one(index, block))).ok()
         };
 
+        // With a cache, a block whose key already sits earlier in the
+        // queue is held out of the fan-out and resolved after it as a memory
+        // hit, so no worker holds a permit while it waits on a sibling's
+        // in-flight synthesis. Without a cache every block is synthesized.
+        let (fan_out, repeats): (Vec<usize>, Vec<usize>) = if cache.is_some() {
+            let mut seen = BTreeSet::new();
+            (0..blocks.len()).partition(|&i| seen.insert(keys[i]))
+        } else {
+            ((0..blocks.len()).collect(), Vec::new())
+        };
+
         // Fan-out is bounded: the block pool never exceeds the budget or
-        // the block count. The old one-thread-per-block policy spawned
-        // unbounded threads on large circuits, oversubscribing the machine
-        // exactly when synthesis was most expensive.
+        // the block count. Each worker holds a permit while it claims blocks
+        // and returns it once the queue is empty. The calling thread only
+        // waits.
+        let next = AtomicUsize::new(0);
+        let drain = |permit: Permits<'_>| {
+            let mut done: Vec<(usize, Option<SynthesizedBlock>)> = Vec::new();
+            loop {
+                // A cancelled job stops claiming new blocks; the in-flight
+                // ones finish and are thrown away by `compile_inner`'s
+                // post-stage check.
+                if observer.cancelled() {
+                    break;
+                }
+                let Some(&i) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                done.push((i, safe_synth(i, &blocks[i])));
+            }
+            drop(permit);
+            done
+        };
         let mut out: Vec<Option<SynthesizedBlock>> = (0..blocks.len()).map(|_| None).collect();
-        if block_workers > 1 {
-            let next = AtomicUsize::new(0);
-            let scope_result = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..block_workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            // Chunked work queue: workers pull the next
-                            // unclaimed block index until the queue drains.
-                            let mut done: Vec<(usize, Option<SynthesizedBlock>)> = Vec::new();
-                            loop {
-                                // A cancelled job stops claiming new blocks;
-                                // the in-flight ones finish and are thrown
-                                // away by `compile_inner`'s post-stage check.
-                                if observer.cancelled() {
-                                    break;
-                                }
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(block) = blocks.get(i) else { break };
-                                done.push((i, safe_synth(i, block)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // A worker that somehow died outside the per-block
-                    // isolation just leaves its claimed slots empty for the
-                    // recovery pass — no panic propagation.
-                    if let Ok(done) = h.join() {
+        let mut workers = pool.take(fan_out.len());
+        std::thread::scope(|scope| {
+            let drain = &drain;
+            let mut handles = Vec::new();
+            while workers.count() > 0 {
+                let permit = workers.split(1);
+                handles.push(scope.spawn(move || drain(permit)));
+            }
+            for h in handles {
+                // A worker that somehow died outside the per-block isolation
+                // just leaves its claimed slots empty for the recovery pass.
+                match h.join() {
+                    Ok(done) => {
                         for (i, sb) in done {
                             out[i] = sb;
                         }
                     }
+                    Err(_) => qobs::event!("quest.synthesis_scope_panicked"),
                 }
-            });
-            if scope_result.is_err() {
-                // Unjoined-thread panic: unfilled slots are recovered below.
-                qobs::event!("quest.synthesis_scope_panicked");
             }
-        } else {
-            for (i, b) in blocks.iter().enumerate() {
-                if observer.cancelled() {
-                    break;
-                }
-                out[i] = safe_synth(i, b);
+        });
+
+        // Repeats and the recovery pass run on the calling thread, which
+        // holds a permit again for them (all are free once the fan-out has
+        // joined).
+        let caller = pool.take(1);
+        for &i in &repeats {
+            if observer.cancelled() {
+                break;
             }
+            out[i] = safe_synth(i, &blocks[i]);
         }
 
         // Recovery pass: each dead block gets one serial retry (synthesis is
@@ -663,24 +673,26 @@ impl Quest {
                     qubits: block.qubits().to_vec(),
                     original_unitary: block.unitary(),
                     original_cnots: block.circuit().cnot_count(),
-                    approximations: vec![BlockApprox {
+                    approximations: Arc::new([BlockApprox {
                         circuit: block.circuit().clone(),
                         unitary: block.unitary(),
                         distance: 0.0,
                         cnot_count: block.circuit().cnot_count(),
-                    }],
+                    }]),
                     synthesis_evals: 0,
                     degraded: true,
                 }
             })
             .collect();
 
+        drop(caller);
+        debug_assert_eq!(pool.in_use(), 0, "a synthesis thread kept its permit");
         let degradation = DegradationStats {
             poisoned_starts: poisoned_total.load(Ordering::Relaxed),
             recovered_panics,
             ..DegradationStats::default()
         };
-        (result_blocks, resolved_width, degradation)
+        (result_blocks, pool.size(), degradation)
     }
 
     fn select_dissimilar(
@@ -1205,7 +1217,7 @@ mod tests {
             qubits: vec![0, 1],
             original_unitary: Matrix::identity(4),
             original_cnots: 3,
-            approximations: vec![mk(f64::NAN, 1), mk(0.0, 3)],
+            approximations: Arc::new([mk(f64::NAN, 1), mk(0.0, 3)]),
             synthesis_evals: 0,
             degraded: false,
         };

@@ -275,7 +275,8 @@ pub struct RunReport {
     pub input: InputReport,
     /// Run-shaping configuration echo.
     pub config: ConfigReport,
-    /// Worker threads used for block synthesis.
+    /// The synthesis stage's thread budget: the most synthesis threads that
+    /// could run at once.
     pub parallel_width: usize,
     /// Per-block synthesis telemetry, in program order.
     pub blocks: Vec<BlockReport>,

@@ -366,6 +366,37 @@ mod injected {
     }
 
     #[test]
+    fn worker_panic_under_a_shared_budget_recovers_and_returns_permits() {
+        let _guard = serial();
+        let circuit = fixture_circuit();
+        for width in [2, 3] {
+            let mut cfg = QuestConfig::fast().with_seed(41);
+            cfg.parallel_width = Some(width);
+            let quest = Quest::new(cfg);
+            let clean = quest.compile(&circuit);
+            for cached in [false, true] {
+                let cache = BlockCache::new();
+                qfault::arm_spec("quest.block_worker=panic").expect("spec parses");
+                // Test builds keep debug assertions, under which the pipeline
+                // checks after synthesis that every permit of the compile's
+                // pool came back: a permit lost on the panic path fails the
+                // compile itself.
+                let faulted = if cached {
+                    quest.compile_with_cache(&circuit, &cache)
+                } else {
+                    quest.compile(&circuit)
+                };
+                assert!(qfault::fired_at("quest.block_worker") > 0);
+                qfault::disarm_all();
+                assert_eq!(faulted.degradation.recovered_panics, 1, "width {width}");
+                assert_eq!(faulted.degradation.degraded_blocks, 0);
+                assert_eq!(faulted.parallel_width, width);
+                assert_same_samples(&clean, &faulted);
+            }
+        }
+    }
+
+    #[test]
     fn feature_on_but_disarmed_is_bit_identical_to_clean() {
         let _guard = serial();
         // The whole harness must be invisible while nothing is armed — the

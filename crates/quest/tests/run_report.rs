@@ -17,8 +17,18 @@ fn fixture_circuit() -> Circuit {
     c
 }
 
+/// The metrics registry is process-global and the tests in this file run
+/// concurrently: a compile that runs while another test's session is open
+/// adds its counters to that test's snapshot. Tests that compile without
+/// reading metrics hold an (unread) session too, which serializes them with
+/// the tests that do.
+fn exclusive_metrics() -> qobs::metrics::Session {
+    qobs::metrics::session()
+}
+
 #[test]
 fn run_report_fields_are_populated() {
+    let _metrics = exclusive_metrics();
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(17));
     let result = quest.compile(&circuit);
@@ -68,14 +78,12 @@ fn run_report_fields_are_populated() {
 fn run_report_json_roundtrip_is_stable() {
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(23));
+    let session = exclusive_metrics();
     let result = quest.compile(&circuit);
 
     // Attach a real metrics snapshot so the roundtrip covers that arm too.
-    let report = {
-        let session = qobs::metrics::session();
-        let result2 = quest.compile(&circuit);
-        RunReport::new(&quest, &circuit, &result2).with_metrics(&session.snapshot())
-    };
+    let report = RunReport::new(&quest, &circuit, &result).with_metrics(&session.snapshot());
+    drop(session);
     assert!(!report.metrics.is_empty(), "metrics snapshot not captured");
 
     let text = report.to_json().pretty();
@@ -97,6 +105,7 @@ fn run_report_json_roundtrip_is_stable() {
 
 #[test]
 fn run_report_from_json_accepts_schema_v1() {
+    let _metrics = exclusive_metrics();
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(29));
     let result = quest.compile(&circuit);
